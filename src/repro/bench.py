@@ -721,8 +721,8 @@ def _mp_query_workload(store) -> list:
     genuinely parallelizes — exactly the contrast the metric prices.
     """
     months = store.months()
-    return [
-        ("POST", "/query", {
+    documents = [
+        {
             "kind": "fraction",
             "predicate": {"op": "any", "args": [
                 {"op": "version", "value": "TLSv12"},
@@ -730,27 +730,28 @@ def _mp_query_workload(store) -> list:
             ]},
             "within": {"op": "established", "value": True},
             "month": None,
-        }),
-        ("POST", "/query", {
+        },
+        {
             "kind": "weight",
             "predicate": {"op": "all", "args": [
                 {"op": "established", "value": True},
                 {"op": "not", "arg": {"op": "advertises", "value": "rc4"}},
             ]},
             "month": None,
-        }),
-        ("POST", "/query", {
+        },
+        {
             "kind": "weighted_mean",
             "value": {"op": "position_of", "tag": "aead"},
             "month": None,
-        }),
-        ("POST", "/query", {
+        },
+        {
             "kind": "fraction",
             "predicate": {"op": "mode", "value": "AEAD"},
             "within": {"op": "established", "value": True},
             "month": months[len(months) // 2].isoformat(),
-        }),
+        },
     ]
+    return [("POST", "/query", json.dumps(doc)) for doc in documents]
 
 
 def bench_serve_mp_speedup(ctx: BenchContext) -> dict:
@@ -760,10 +761,11 @@ def bench_serve_mp_speedup(ctx: BenchContext) -> dict:
     once with ``--query-workers 2`` replica processes — and hammered
     with the identical CPU-bound workload.  The gated metric is
     ``threaded_vs_mp_ratio`` (threaded RPS / mp RPS, smaller is
-    better): the baseline pins it at 1/3, so the gate's 0.5 tolerance
-    enforces the PR 10 acceptance bar of >= 2x mp speedup wherever the
-    host has the cores to show it.  Single-core hosts skip — there is
-    no parallelism to measure, only pool overhead.
+    better), held to the ratio one real run measured on the gating
+    host — on a 2-CPU host the query pool does not beat the threaded
+    path (ratio above 1), which is what the baseline records.
+    Single-core hosts skip — there is no parallelism to measure, only
+    pool overhead.
     """
     from repro.engine import executors
     from repro.engine.partition import PackedDataset, pack_records
@@ -1055,7 +1057,14 @@ def make_baseline(run: dict) -> dict:
 
 
 def diff_baseline(run: dict, baseline: dict) -> list[str]:
-    """Regressions of ``run`` vs ``baseline``; empty list = gate passes."""
+    """Regressions of ``run`` vs ``baseline``; empty list = gate passes.
+
+    Every wall, rate and metric the baseline records must be measured:
+    a missing, ``None`` or zero value fails the gate, because a bench
+    whose work silently never ran reads as infinitely fast.  Anchors are
+    exact values (zero included), so only a missing or ``None`` anchor
+    fails that way; any other value is held to the drift tolerance.
+    """
     tolerances = {**DEFAULT_TOLERANCES, **(baseline.get("tolerances") or {})}
     by_name = {r["bench"]: r for r in baseline.get("records", [])}
     failures: list[str] = []
@@ -1065,18 +1074,29 @@ def diff_baseline(run: dict, baseline: dict) -> list[str]:
         if base is None or record.get("skipped") or base.get("skipped"):
             continue
         base_wall, wall = base.get("wall_seconds"), record.get("wall_seconds")
-        if base_wall and wall and wall > base_wall * (1 + tolerances["wall_seconds"]):
-            failures.append(
-                f"{name}: wall_seconds {wall:.6f} > "
-                f"{base_wall:.6f} * {1 + tolerances['wall_seconds']:.2f}"
-            )
+        if base_wall is not None:
+            if not wall:
+                failures.append(
+                    f"{name}: wall_seconds is {wall!r} (baseline {base_wall:.6f})"
+                )
+            elif wall > base_wall * (1 + tolerances["wall_seconds"]):
+                failures.append(
+                    f"{name}: wall_seconds {wall:.6f} > "
+                    f"{base_wall:.6f} * {1 + tolerances['wall_seconds']:.2f}"
+                )
         base_rps = base.get("records_per_second")
         rps = record.get("records_per_second")
-        if base_rps and rps and rps < base_rps * (1 - tolerances["records_per_second"]):
-            failures.append(
-                f"{name}: records_per_second {rps:,.0f} < "
-                f"{base_rps:,.0f} * {1 - tolerances['records_per_second']:.2f}"
-            )
+        if base_rps is not None:
+            if not rps:
+                failures.append(
+                    f"{name}: records_per_second is {rps!r} "
+                    f"(baseline {base_rps:,.0f})"
+                )
+            elif rps < base_rps * (1 - tolerances["records_per_second"]):
+                failures.append(
+                    f"{name}: records_per_second {rps:,.0f} < "
+                    f"{base_rps:,.0f} * {1 - tolerances['records_per_second']:.2f}"
+                )
         current_anchors = record.get("anchors") or {}
         for key, base_value in (base.get("anchors") or {}).items():
             value = current_anchors.get(key)
@@ -1090,10 +1110,15 @@ def diff_baseline(run: dict, baseline: dict) -> list[str]:
                 )
         current_metrics = record.get("metrics") or {}
         for key, base_value in (base.get("metrics") or {}).items():
+            if base_value is None:
+                continue
             value = current_metrics.get(key)
-            if value is not None and base_value and value > base_value * (
-                1 + tolerances["metrics"]
-            ):
+            if not value:
+                failures.append(
+                    f"{name}: metric {key!r} is {value!r} "
+                    f"(baseline {base_value:.4f})"
+                )
+            elif value > base_value * (1 + tolerances["metrics"]):
                 failures.append(
                     f"{name}: metric {key!r} {value:.4f} > "
                     f"{base_value:.4f} * {1 + tolerances['metrics']:.2f}"
@@ -1114,10 +1139,9 @@ def render_run(run: dict, failures: list[str] | None = None) -> str:
         parts = [f"wall={wall:.6f}s" if wall is not None else "wall=-"]
         if rps:
             parts.append(f"{rps:,.0f}/s")
-        for key, value in (record.get("metrics") or {}).items():
-            parts.append(f"{key}={value:.4f}")
-        for key, value in (record.get("anchors") or {}).items():
-            parts.append(f"{key}={value:.4f}")
+        for group in ("metrics", "anchors"):
+            for key, value in (record.get(group) or {}).items():
+                parts.append(f"{key}=-" if value is None else f"{key}={value:.4f}")
         lines.append(f"{record['bench']:<24} " + "  ".join(parts))
     if failures is not None:
         if failures:

@@ -229,45 +229,42 @@ class StreamPacker:
 
     Holds exactly the accumulation state :func:`pack_records` builds —
     the shape lookup and the per-month column arrays — so a month's
-    record *objects* never need to exist together: the streaming ingest
-    path (``TrafficGenerator.stream_expectation_month`` under
-    ``--scale``) yields records straight into :meth:`add` and resident
-    memory stays O(shapes + packed columns), not O(records).
+    record *objects* never need to exist together, and any chunking of
+    the same record sequence finishes with a payload byte-identical to
+    ``pack_records`` over the concatenation: per record the packer
+    performs the same appends in the same order, and :meth:`finish`
+    runs the identical summary/matrix builds.
 
-    Any chunking of the same record sequence finishes with a payload
-    byte-identical to ``pack_records`` over the concatenation: per
-    record the packer performs the same appends in the same order, and
-    :meth:`finish` runs the identical summary/matrix builds.
-
-    The one shortcut taken is an identity memo on the previously added
-    record: a scaled stream yields the *same* frozen record object N
-    times in a row, and re-deriving the shape tuple per replica would
-    make replication O(shape size) instead of O(1).  Identical objects
-    have identical shapes, so the memo cannot change the output.
+    Expectation mode feeds :meth:`add_rows` instead: ``(weight,
+    template)`` rows for one month, where every row of a key carries
+    the *same* template object
+    (``TrafficGenerator.stream_expectation_month``).  A template's
+    shape is derived once and the template is then mapped to its shape
+    index by identity; the packer keeps a reference to every template
+    it has seen, so no id is reused while the memo holds it.  The
+    appends are the ones :meth:`add` would make for the template's
+    records at that month and weight, so the payload is the same bytes.
     """
 
     def __init__(self) -> None:
         self._shape_index: dict[tuple, int] = {}
         self._shapes: list[tuple] = []
         self._months: dict[int, dict] = {}
-        self._last_record: ConnectionRecord | None = None
-        self._last_idx: int = 0
+        #: id(template) -> shape index, for :meth:`add_rows`.
+        self._template_idx: dict[int, int] = {}
+        self._templates: list[ConnectionRecord] = []
         #: Records consumed so far (the ingest bench reads this).
         self.records = 0
 
-    def add(self, record: ConnectionRecord) -> None:
-        """Append one record to its month's columns."""
-        if record is self._last_record:
-            idx = self._last_idx
-        else:
-            shape = _shape_of(record)
-            idx = self._shape_index.get(shape)
-            if idx is None:
-                idx = self._shape_index[shape] = len(self._shapes)
-                self._shapes.append(shape)
-            self._last_record = record
-            self._last_idx = idx
-        month_ord = record.month.toordinal()
+    def _intern(self, record: ConnectionRecord) -> int:
+        shape = _shape_of(record)
+        idx = self._shape_index.get(shape)
+        if idx is None:
+            idx = self._shape_index[shape] = len(self._shapes)
+            self._shapes.append(shape)
+        return idx
+
+    def _columns(self, month_ord: int) -> dict:
         columns = self._months.get(month_ord)
         if columns is None:
             columns = self._months[month_ord] = {
@@ -275,6 +272,12 @@ class StreamPacker:
                 "shape_idx": array("L"),
                 "days": None,
             }
+        return columns
+
+    def add(self, record: ConnectionRecord) -> None:
+        """Append one record to its month's columns."""
+        idx = self._intern(record)
+        columns = self._columns(record.month.toordinal())
         columns["weights"].append(record.weight)
         columns["shape_idx"].append(idx)
         if record.day is not None and columns["days"] is None:
@@ -289,6 +292,32 @@ class StreamPacker:
     def extend(self, records: Iterable[ConnectionRecord]) -> None:
         for record in records:
             self.add(record)
+
+    def add_rows(
+        self, month: _dt.date, rows: Iterable[tuple[float, ConnectionRecord]]
+    ) -> None:
+        """Append ``(weight, template)`` rows to ``month``'s columns.
+
+        Each row packs as the template's record at ``month`` (a
+        first-of-month date) and ``weight``, with no day; templates must
+        carry ``day=None``.
+        """
+        columns = self._columns(month.toordinal())
+        weights = columns["weights"]
+        idxs = columns["shape_idx"]
+        before = len(weights)
+        memo = self._template_idx
+        for weight, template in rows:
+            idx = memo.get(id(template))
+            if idx is None:
+                idx = memo[id(template)] = self._intern(template)
+                self._templates.append(template)
+            weights.append(weight)
+            idxs.append(idx)
+        added = len(weights) - before
+        if columns["days"] is not None:
+            columns["days"].extend([None] * added)
+        self.records += added
 
     def finish(self) -> dict:
         """Seal the payload: summaries + matrix over the final table."""
@@ -621,7 +650,12 @@ class PackedDataset:
                 self._guarded_templates.append(record)
         self._match_cache.clear()
         self._value_cache.clear()
-        for attr in ("_index_shape_keys", "_vector_matrix", "_vector_view_cache"):
+        for attr in (
+            "_index_shape_keys",
+            "_index_shape_masks",
+            "_vector_matrix",
+            "_vector_view_cache",
+        ):
             if hasattr(self, attr):
                 delattr(self, attr)
 

@@ -56,11 +56,14 @@ class PerfCounters:
 
     #: Real ``ServerProfile.respond`` negotiations performed.
     negotiations: int = 0
-    #: Handshakes answered from the generator's result cache.
+    #: Handshakes answered from the generator's result cache.  Like the
+    #: hello cache, it is consulted only when the template memo misses,
+    #: so hits count template builds, never rows.
     handshake_cache_hits: int = 0
     #: Client Hellos actually built.
     hello_builds: int = 0
-    #: Hellos answered from the generator's hello cache.
+    #: Hellos answered from the generator's hello cache (per template
+    #: build, see ``handshake_cache_hits``).
     hello_cache_hits: int = 0
     #: Connection records observed into stores.
     records: int = 0

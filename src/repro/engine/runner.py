@@ -385,15 +385,15 @@ def _run_chunk(job: tuple[int, int, list[_dt.date]]) -> dict:
             PassiveMonitor(),
             scale=_WORKER.get("scale", 1),
         )
-        # Records stream straight into the packer: a month's record
-        # objects never coexist, so worker RSS stays bounded at any
-        # --scale (the store-then-pack round trip would be O(records)).
+        # Rows stream straight into the packer and no record object is
+        # built per row, so worker RSS stays bounded at any --scale
+        # (the store-then-pack round trip would be O(records)).
         packer = StreamPacker()
         for month in months:
             faults.crash_point("month_crash", f"{token}.m{month.isoformat()}")
             month_started = time.perf_counter()
             with obs.span("simulate_month", month=month.isoformat()):
-                packer.extend(generator.stream_expectation_month(month))
+                packer.add_rows(month, generator.stream_expectation_month(month))
             # Worker-side duration histogram: ships in the perf snapshot
             # and folds bucket-by-bucket in the parent's merge, so the
             # fleet's per-month latency *distribution* survives into
@@ -434,7 +434,7 @@ def _run_chunk_inline(clients, servers, months: list[_dt.date], scale: int = 1) 
         for month in months:
             month_started = time.perf_counter()
             with obs.span("simulate_month", month=month.isoformat()):
-                packer.extend(generator.stream_expectation_month(month))
+                packer.add_rows(month, generator.stream_expectation_month(month))
             PERF.observe_duration(
                 "simulate_month_seconds",
                 time.perf_counter() - month_started,
@@ -869,7 +869,7 @@ def _run_serial(
         packer = StreamPacker()
         for month in month_range(start, end):
             month_started = time.perf_counter()
-            packer.extend(generator.stream_expectation_month(month))
+            packer.add_rows(month, generator.stream_expectation_month(month))
             PERF.observe_duration(
                 "simulate_month_seconds",
                 time.perf_counter() - month_started,

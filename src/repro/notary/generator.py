@@ -3,12 +3,15 @@
 Two modes:
 
 * **Expectation mode** — for every month, every active client release is
-  negotiated against every active server variant and the resulting
-  record carries the product weight.  Handshakes are cached on
-  (release, tls13-flag, server-variant) since both configurations are
-  date-independent; a full 2012–2018 run costs only a few thousand real
-  negotiations.  This mode produces exact, noise-free monthly series —
-  the right tool for Figures 1–3 and 5–10.
+  paired with every active server variant and the pair's row carries
+  the product weight.  Everything in a record except its month and
+  weight is a pure function of (release, tls13-flag, server-variant,
+  port, fingerprint era), so the generator builds one *template* record
+  per such key — negotiating only on a template miss, through hello and
+  handshake caches — and emits each month as ``(weight, template)``
+  rows.  A full 2012–2018 run costs only a few thousand real
+  negotiations and record builds.  This mode produces exact, noise-free
+  monthly series — the right tool for Figures 1–3 and 5–10.
 
 * **Monte-Carlo mode** — samples individual connections with real
   randomness (GREASE values, cipher-order shuffling, staged TLS 1.3
@@ -32,7 +35,10 @@ from dataclasses import dataclass, field
 from repro.clients.population import ClientPopulation
 from repro.clients.profile import ClientRelease
 from repro.engine.perf import PERF
+from repro.notary import events
+from repro.notary.events import ConnectionRecord
 from repro.notary.monitor import PassiveMonitor
+from repro.notary.store import month_of, month_range
 from repro.servers.config import ServerProfile
 from repro.servers.population import ServerPopulation
 from repro.tls.handshake import HandshakeResult
@@ -60,6 +66,11 @@ def _release_seed(release: ClientRelease, tls13: bool) -> int:
     return zlib.crc32(token.encode("utf-8")) & 0x7FFFFFFF
 
 
+#: Placeholder month of a row template (rows carry the real month; the
+#: weight placeholder is ``0.0``).
+_TEMPLATE_MONTH = _dt.date(2000, 1, 1)
+
+
 @dataclass
 class TrafficGenerator:
     """Drives handshakes between the two populations into a monitor."""
@@ -78,6 +89,10 @@ class TrafficGenerator:
     def __post_init__(self) -> None:
         self._hello_cache: dict[tuple[str, str, bool], ClientHello] = {}
         self._result_cache: dict[tuple[str, str, bool, str], HandshakeResult] = {}
+        #: Row templates by (family, version, tls13, server, port,
+        #: fingerprint era): the hello and handshake memos are consulted
+        #: only when this one misses.
+        self._record_cache: dict[tuple, ConnectionRecord] = {}
 
     # ---- expectation mode ---------------------------------------------------
 
@@ -150,31 +165,30 @@ class TrafficGenerator:
         return splits
 
     def stream_expectation_month(self, month: _dt.date):
-        """Yield the month's expectation records without storing them.
+        """Yield the month's expectation rows as ``(weight, template)``.
 
-        This is the bounded-memory ingest path: records are generated
-        one at a time straight into whatever consumes the stream
-        (``StreamPacker`` in the runner), so a month's record objects
-        never coexist.  The record sequence is exactly what
-        :meth:`run_expectation_month` pushes into the monitor's store —
-        same ``make_record`` calls, same order — so a streamed pack is
-        byte-identical to a batch pack of the stored records.
+        A template is the record of one (release, tls13-flag,
+        server-variant, port, fingerprint era) key with a placeholder
+        month and weight; the row supplies the real weight and the
+        caller knows the month.  Templates are memoized per generator,
+        so ``make_record`` — and the negotiation behind it — runs once
+        per distinct key, never per row, and every row of a key yields
+        the *same* template object: ``StreamPacker.add_rows`` maps it to
+        its shape by identity.  Nothing here holds a month's rows, so a
+        consumer that packs them keeps memory O(templates + columns).
 
-        At ``scale > 1`` each base record is yielded ``scale`` times at
-        ``weight/scale`` (the *same* frozen record object, so replicas
-        cost O(1) each downstream): record counts multiply, month-total
-        weight and every fraction stay at the base values up to float
+        At ``scale > 1`` each row is yielded ``scale`` times at
+        ``weight/scale``: record counts multiply, month-total weight and
+        every fraction stay at the base values up to float
         associativity.
         """
-        from repro.notary.events import make_record
-        from repro.notary.store import month_of
         from repro.servers.population import DEDICATED_PORTS
 
         scale = max(1, int(self.scale))
-        record_month = month_of(month)
         fingerprint = month >= self.monitor.fingerprint_fields_since
         client_mix = self.clients.mix(month)
         server_mix = self.servers.mix(month, weighting="traffic")
+        templates = self._record_cache
         for release, client_weight in client_mix:
             tag = self.affinity.get(release.family)
             destinations: list[tuple[ServerProfile, float]]
@@ -189,41 +203,60 @@ class TrafficGenerator:
                     weight = client_weight * tls13_weight * server_weight
                     if weight <= 0:
                         continue
-                    hello, result = self._negotiate(release, tls13, server)
-                    record = make_record(
-                        month=record_month,
-                        day=None,
-                        server_profile=server.name,
-                        server_port=port,
-                        weight=weight if scale == 1 else weight / scale,
-                        hello=hello,
-                        result=result,
-                        client_family=release.family,
-                        client_version=release.version,
-                        client_category=release.category,
-                        client_in_database=release.in_database,
-                        record_fingerprint=fingerprint,
+                    key = (
+                        release.family, release.version, tls13,
+                        server.name, port, fingerprint,
                     )
+                    template = templates.get(key)
+                    if template is None:
+                        hello, result = self._negotiate(release, tls13, server)
+                        # Looked up on the module at call time, so a
+                        # wrapper installed there sees every build.
+                        template = templates[key] = events.make_record(
+                            month=_TEMPLATE_MONTH,
+                            day=None,
+                            server_profile=server.name,
+                            server_port=port,
+                            weight=0.0,
+                            hello=hello,
+                            result=result,
+                            client_family=release.family,
+                            client_version=release.version,
+                            client_category=release.category,
+                            client_in_database=release.in_database,
+                            record_fingerprint=fingerprint,
+                        )
                     PERF.records += scale
+                    weight /= scale  # exact at scale 1
                     for _ in range(scale):
-                        yield record
-        ssl2 = self._ssl2_record(month, scale)
-        if ssl2 is not None:
+                        yield weight, template
+        if self.SSL2_WEIGHT > 0:
             PERF.records += scale
+            weight = self.SSL2_WEIGHT / scale
             for _ in range(scale):
-                yield ssl2
+                yield weight, _SSL2_TEMPLATE
 
     def run_expectation_month(self, month: _dt.date) -> None:
         """Generate the full expectation-weighted record set for a month.
 
-        Materializing wrapper over :meth:`stream_expectation_month`:
-        every streamed record lands in the monitor's store, preserving
-        the historical contract (tests and the zeeklog exporter read
-        the store directly).  Scaled or bulk ingest should consume the
-        stream instead.
+        Materializing view over :meth:`stream_expectation_month`: each
+        row becomes a clone of its template with the row's month and
+        weight set — built the way ``PackedDataset.materialize``
+        rebuilds records — and lands in the monitor's store, preserving
+        the historical contract (tests and the zeeklog exporter read the
+        store directly).  Scaled or bulk ingest should pack the rows
+        instead.
         """
         store = self.monitor.store
-        for record in self.stream_expectation_month(month):
+        record_month = month_of(month)
+        new = object.__new__
+        for weight, template in self.stream_expectation_month(month):
+            record = new(ConnectionRecord)
+            # In-place dict fill sidesteps the frozen-dataclass __setattr__.
+            fields = record.__dict__
+            fields.update(template.__dict__)
+            fields["month"] = record_month
+            fields["weight"] = weight
             store.add(record)
 
     #: Monthly connection-weight of the SSL 2 relic traffic: ~1.2K of
@@ -231,47 +264,8 @@ class TrafficGenerator:
     #: at one university's Nagios endpoints.
     SSL2_WEIGHT = 2e-7
 
-    def _ssl2_record(self, month: _dt.date, scale: int = 1) -> "ConnectionRecord | None":
-        """The §5.1 SSL 2 remnant as one pre-classified record (or None).
-
-        SSL 2 uses an incompatible record format the ClientHello model
-        does not express (see repro.tls.ssl2); the monitor classifies
-        such first flights by sniffing and records them directly.
-        """
-        if self.SSL2_WEIGHT <= 0:
-            return None
-        from repro.notary.events import ConnectionRecord
-        from repro.notary.store import month_of
-
-        weight = self.SSL2_WEIGHT if scale == 1 else self.SSL2_WEIGHT / scale
-        return ConnectionRecord(
-            month=month_of(month),
-            weight=weight,
-            client_family="Nagios NRPE",
-            client_version="ssl2-probe",
-            client_category="OS Tools and Services",
-            client_in_database=False,
-            fingerprint=None,
-            advertised=frozenset({"rc4", "export"}),
-            positions={},
-            suite_count=2,
-            offered_tls13=False,
-            offered_tls13_versions=(),
-            established=True,
-            negotiated_version="SSLv2",
-            negotiated_wire=0x0002,
-            negotiated_suite=None,
-            negotiated_curve=None,
-            heartbeat_negotiated=False,
-            server_chose_unoffered=False,
-            server_profile="nagios-server",
-            server_port=5666,
-        )
-
     def run_expectation(self, start: _dt.date, end: _dt.date) -> None:
         """Expectation mode over every month from ``start`` to ``end``."""
-        from repro.notary.store import month_range
-
         for month in month_range(start, end):
             self.run_expectation_month(month)
 
@@ -285,8 +279,6 @@ class TrafficGenerator:
         rng: random.Random,
     ) -> None:
         """Sample individual connections at day granularity."""
-        from repro.notary.store import month_range
-
         from repro.servers.population import DEDICATED_PORTS
 
         for month in month_range(start, end):
@@ -334,3 +326,32 @@ class TrafficGenerator:
                     server_profile=server.name,
                     server_port=port,
                 )
+
+
+#: The §5.1 SSL 2 remnant as a row template.  SSL 2 uses an incompatible
+#: record format the ClientHello model does not express (see
+#: repro.tls.ssl2); the monitor classifies such first flights by
+#: sniffing and records them directly.
+_SSL2_TEMPLATE = ConnectionRecord(
+    month=_TEMPLATE_MONTH,
+    weight=0.0,
+    client_family="Nagios NRPE",
+    client_version="ssl2-probe",
+    client_category="OS Tools and Services",
+    client_in_database=False,
+    fingerprint=None,
+    advertised=frozenset({"rc4", "export"}),
+    positions={},
+    suite_count=2,
+    offered_tls13=False,
+    offered_tls13_versions=(),
+    established=True,
+    negotiated_version="SSLv2",
+    negotiated_wire=0x0002,
+    negotiated_suite=None,
+    negotiated_curve=None,
+    heartbeat_negotiated=False,
+    server_chose_unoffered=False,
+    server_profile="nagios-server",
+    server_port=5666,
+)

@@ -186,9 +186,10 @@ class _MonthIndex:
             dataset._index_shape_keys = shape_keys
         columns = dataset.columns(month)
         if columns is not None and _vector.available():
-            index = cls._from_columns_vector(shape_keys, columns)
-            if index is not None:
-                return index
+            masks = getattr(dataset, "_index_shape_masks", None)
+            if masks is None:
+                masks = dataset._index_shape_masks = cls._shape_masks(shape_keys)
+            return cls._from_columns_vector(masks, columns)
         index = cls()
         weights: dict = defaultdict(float)
         established_weights: dict = defaultdict(float)
@@ -208,9 +209,36 @@ class _MonthIndex:
         index.established_weights = dict(established_weights)
         return index
 
+    @staticmethod
+    def _shape_masks(shape_keys) -> tuple:
+        """``(est_shape, key_shapes)`` over a whole shape table.
+
+        ``est_shape`` flags the established shapes; ``key_shapes`` maps
+        each index key, in first-occurrence order over the table, to the
+        flags of the shapes that carry it.  Month-independent, so it is
+        built once per dataset and cached next to ``_index_shape_keys``.
+        """
+        import numpy as _np
+
+        n_shapes = len(shape_keys)
+        est_shape = _np.fromiter(
+            (established for _keys, established in shape_keys),
+            dtype=bool,
+            count=n_shapes,
+        )
+        key_rows: dict = {}
+        for shape_idx, (keys, _established) in enumerate(shape_keys):
+            for key in keys:
+                key_rows.setdefault(key, []).append(shape_idx)
+        key_shapes: dict = {}
+        for key, rows in key_rows.items():
+            mask = key_shapes[key] = _np.zeros(n_shapes, dtype=bool)
+            mask[rows] = True
+        return est_shape, key_shapes
+
     @classmethod
-    def _from_columns_vector(cls, shape_keys, columns) -> "_MonthIndex | None":
-        """Numpy counter construction; None when numpy import fails.
+    def _from_columns_vector(cls, masks, columns) -> "_MonthIndex":
+        """Numpy counter construction over :meth:`_shape_masks`.
 
         Float-identity argument: the row loop keeps one accumulator per
         (dimension, value) key, added to once per matching row in row
@@ -236,17 +264,7 @@ class _MonthIndex:
             return float(_np.cumsum(values)[-1]) if len(values) else 0.0
 
         index.total = fold(w)
-        n_shapes = len(shape_keys)
-        est_shape = _np.zeros(n_shapes, dtype=bool)
-        key_shapes: dict = {}
-        for shape_idx, (keys, established) in enumerate(shape_keys):
-            if established:
-                est_shape[shape_idx] = True
-            for key in keys:
-                mask = key_shapes.get(key)
-                if mask is None:
-                    mask = key_shapes[key] = _np.zeros(n_shapes, dtype=bool)
-                mask[shape_idx] = True
+        est_shape, key_shapes = masks
         est_rows = est_shape[idx]
         index.established = fold(w[est_rows])
         weights: dict = {}

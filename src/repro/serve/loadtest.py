@@ -4,10 +4,12 @@ A thread pool over stdlib :mod:`http.client` — one keep-alive
 connection per worker thread, reconnect on transport error — drives a
 fixed request budget at a live server and reports latency percentiles
 (nearest-rank p50/p95/p99), sustained RPS over the measured wall, an
-error count (transport failures, HTTP >= 400, or non-JSON bodies), and
-the *server-side* ``max_in_flight`` gauge fetched from ``/stats``
-afterwards, which proves the requests actually overlapped rather than
-serialized at the client.
+error count (a request that raises — transport failure or otherwise —,
+HTTP >= 400, or a non-JSON body), and the *server-side*
+``max_in_flight`` gauge fetched from ``/stats`` afterwards, which proves
+the requests actually overlapped rather than serialized at the client.
+Every request ends as exactly one completion or one error; a run whose
+counts do not add up to the budget raises instead of reporting.
 
 All workers arm on a barrier so the clock starts when every connection
 is ready, not while threads are still spawning; the wall excludes
@@ -95,6 +97,8 @@ class _Worker:
         self.barrier = barrier
         self.latencies: list[float] = []
         self.statuses: dict[int, int] = {}
+        #: Every request of the share ends as exactly one of these two.
+        self.completed = 0
         self.errors = 0
 
     def _connect(self) -> http.client.HTTPConnection:
@@ -115,7 +119,8 @@ class _Worker:
         # per-request loop keep retrying the connect instead.
         try:
             conn = self._connect()
-        except OSError:
+        except Exception as exc:
+            _log.debug("loadtest connect failed (retried per request): %s", exc)
             conn = None
         self.barrier.wait()
         for i in range(self.share):
@@ -125,21 +130,26 @@ class _Worker:
             headers = {}
             if body is not None:
                 headers["Content-Type"] = "application/json"
-            if conn is None:
-                try:
-                    conn = self._connect()
-                except OSError:
-                    self.errors += 1
-                    continue
-            started = time.perf_counter()
             try:
+                if conn is None:
+                    conn = self._connect()
+                started = time.perf_counter()
                 conn.request(method, path, body=body, headers=headers)
                 response = conn.getresponse()
                 payload = response.read()
-            except OSError:
+            except Exception as exc:
+                # Any failure is one counted error — a request that
+                # raises something other than a transport error (a bad
+                # body, say) must not end the thread uncounted.
                 self.errors += 1
-                conn.close()
-                conn = None
+                if not isinstance(exc, OSError):
+                    _log.warning(
+                        "loadtest %s %s raised %s: %s",
+                        method, path, type(exc).__name__, exc,
+                    )
+                if conn is not None:
+                    conn.close()
+                    conn = None
                 continue
             self.latencies.append(time.perf_counter() - started)
             status = response.status
@@ -151,6 +161,8 @@ class _Worker:
                 json.loads(payload)
             except (json.JSONDecodeError, UnicodeDecodeError):
                 self.errors += 1
+                continue
+            self.completed += 1
         if conn is not None:
             conn.close()
 
@@ -309,6 +321,13 @@ def run_loadtest(
         for status, count in w.statuses.items():
             statuses[status] = statuses.get(status, 0) + count
     errors = sum(w.errors for w in workers)
+    completed = sum(w.completed for w in workers)
+    if completed + errors != requests:
+        raise RuntimeError(
+            f"loadtest accounted for {completed + errors} of {requests} "
+            f"request(s) ({completed} completed, {errors} errors): a worker "
+            "thread died"
+        )
     report = {
         "url": f"http://{host}:{port}",
         "requests": requests,

@@ -316,6 +316,10 @@ class TestTraceCli:
         )
         monkeypatch.setattr(ecosystem, "_DEFAULT_MODEL", small)
         sink = tmp_path / "m.jsonl"
+        # ``run --metrics`` exports the sink path into os.environ; set it
+        # through monkeypatch so teardown removes it, or every later test
+        # in the session keeps appending its events to this file.
+        monkeypatch.setenv("REPRO_METRICS_PATH", str(sink))
         assert main(["run", "--metrics", str(sink)]) == 0
         run_out = capsys.readouterr().out
         assert "run complete" in run_out

@@ -154,6 +154,43 @@ class TestBaselineGate:
         failures = bench.diff_baseline(fast_run, baseline)
         assert any("wall_seconds" in f for f in failures)
 
+    def test_zero_rate_fails(self, fast_run):
+        """A bench whose work never ran reports rps 0.0; that used to read
+        as falsy and skip the comparison."""
+        run = copy.deepcopy(fast_run)
+        baseline = bench.make_baseline(run)
+        baseline["records"][0]["records_per_second"] = 100.0
+        run["records"][0]["records_per_second"] = 0.0
+        failures = bench.diff_baseline(run, baseline)
+        assert any("records_per_second is 0.0" in f for f in failures)
+
+    @pytest.mark.parametrize("value", [None, 0.0, "missing"])
+    def test_unmeasured_metric_or_wall_fails(self, fast_run, value):
+        run = copy.deepcopy(fast_run)
+        run["records"][0]["metrics"] = {"ratio": 0.33}
+        baseline = bench.make_baseline(run)
+        if value == "missing":
+            run["records"][0]["metrics"] = {}
+            del run["records"][0]["wall_seconds"]
+        else:
+            run["records"][0]["metrics"]["ratio"] = value
+            run["records"][0]["wall_seconds"] = value
+        failures = bench.diff_baseline(run, baseline)
+        assert any("metric 'ratio' is" in f for f in failures)
+        assert any("wall_seconds is" in f for f in failures)
+
+    def test_zero_anchor_matching_baseline_passes(self, fast_run):
+        run = copy.deepcopy(fast_run)
+        run["records"][0]["anchors"] = {"mean": 0.0}
+        assert bench.diff_baseline(run, bench.make_baseline(run)) == []
+
+    def test_render_run_prints_dash_for_none(self, fast_run):
+        run = copy.deepcopy(fast_run)
+        run["records"][0]["metrics"] = {"ratio": None}
+        run["records"][0]["anchors"] = {"share": None}
+        text = bench.render_run(run, bench.diff_baseline(run, bench.make_baseline(run)))
+        assert "ratio=-" in text and "share=-" in text
+
     def test_load_missing_baseline_is_none(self, tmp_path):
         assert bench.load_baseline(tmp_path / "absent.json") is None
 

@@ -76,6 +76,30 @@ def test_loadtest_counts_http_errors(tiny_server):
     assert report["statuses"] == {"404": 10}
 
 
+def test_request_exceptions_are_counted_errors(tiny_server):
+    """A request that raises something other than a transport error — a
+    ``dict`` body makes ``http.client`` raise ``TypeError`` — used to end
+    its thread uncounted, leaving a clean-looking report with no requests
+    behind it.  Every such request is now one error."""
+    report = loadtest.run_loadtest(
+        tiny_server.url,
+        requests=20,
+        concurrency=2,
+        workload=[("POST", "/query", {"kind": "fraction"})],
+    )
+    assert report["errors"] == 20
+    assert report["statuses"] == {}
+
+
+def test_unaccounted_requests_raise(tiny_server, monkeypatch):
+    def run_nothing(worker):
+        worker.barrier.wait()  # a thread that dies right after the start
+
+    monkeypatch.setattr(loadtest._Worker, "run", run_nothing)
+    with pytest.raises(RuntimeError, match="0 of 6 request"):
+        loadtest.run_loadtest(tiny_server.url, requests=6, concurrency=2)
+
+
 def test_requests_split_exactly_across_threads():
     assert loadtest._split_shares(10, 3) == [4, 3, 3]
     assert loadtest._split_shares(3, 8) == [1, 1, 1, 0, 0, 0, 0, 0]

@@ -56,6 +56,7 @@ from repro.notary import (
     PositionOf,
     vector,
 )
+from repro.notary.store import build_index_payloads
 
 # ---------------------------------------------------------------------------
 # Fixtures: one packed dataset shared module-wide (the templates and
@@ -688,8 +689,17 @@ class TestIncrementalIngest:
         _sealed, fresh, payload = self._split(small_window_store)
         store = NotaryStore()
         store.attach_packed(PackedDataset(payload))
+        table_sizes = []
         for month in fresh:
             store.add_batch(month, small_window_store.records(month))
+            # Index each month as it lands: the next append must drop the
+            # index masks this caches on the grown dataset.
+            store._index(month)
+            table_sizes.append(len(store._ingest._shapes))
+        assert table_sizes[0] < table_sizes[1]
+        assert {
+            month.toordinal(): store._index(month).to_payload() for month in fresh
+        } == build_index_payloads(store._ingest._payload)
         scan = NotaryStore()
         scan.extend(small_window_store.records())
         scan.use_index = False

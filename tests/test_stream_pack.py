@@ -22,6 +22,7 @@ drift fails loudly instead of hiding inside ``pytest.approx``.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 
 import pytest
@@ -29,11 +30,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.notary.events import ConnectionRecord
-from repro.notary.store import NotaryStore, _MonthIndex, month_of
+from repro.notary.store import NotaryStore, _MonthIndex, month_of, month_range
 from repro.notary import vector as _vector
 from repro.engine.partition import (
     PackedDataset,
     PackedMerge,
+    StreamPacker,
     merge_packed,
     pack_records,
     pack_stream,
@@ -176,13 +178,16 @@ class TestChunkingProperty:
         )
 
     def test_scaled_stream_replicas_share_the_identity_memo(self):
-        # A scaled stream yields the *same* frozen record object N times
-        # in a row; the packer's identity memo must not change output.
-        base = _record(dt.date(2015, 1, 1), 0.25, True)
-        replicas = [base] * 5 + [_record(dt.date(2015, 1, 1), 0.5, False)] * 3
-        assert_payloads_identical(
-            pack_stream([[r] for r in replicas]), pack_records(replicas)
-        )
+        # A scaled stream yields the *same* template object N times in a
+        # row; the packer's identity memo must not change output.
+        month = dt.date(2015, 1, 1)
+        a = _record(month, 0.0, True)
+        b = _record(month, 0.0, False)
+        rows = [(0.25, a)] * 5 + [(0.5, b)] * 3 + [(0.125, a)]
+        packer = StreamPacker()
+        packer.add_rows(month, rows)
+        records = [dataclasses.replace(t, weight=w) for w, t in rows]
+        assert_payloads_identical(packer.finish(), pack_records(records))
 
 
 class TestMergeProperty:
@@ -245,6 +250,14 @@ class TestRemapSummaryTranslation:
             assert _column_blob(translated) == _column_blob(rebuilt)
 
 
+def _pack_rows(generator, months):
+    """Pack a generator's expectation rows the way the runner does."""
+    packer = StreamPacker()
+    for month in months:
+        packer.add_rows(month, generator.stream_expectation_month(month))
+    return packer.finish()
+
+
 class TestScaleSemantics:
     """The generator-side contract of ``--scale`` (satellite of the
     tentpole): record counts multiply, weights divide, totals hold."""
@@ -260,7 +273,7 @@ class TestScaleSemantics:
 
         monitor = PassiveMonitor()
         generator = TrafficGenerator(client_population, server_population, monitor)
-        streamed = pack_stream([generator.stream_expectation_month(month)])
+        streamed = _pack_rows(generator, [month])
         generator.run_expectation_month(month)
         assert_payloads_identical(
             streamed, pack_records(monitor.store.records(month))
@@ -278,8 +291,8 @@ class TestScaleSemantics:
         scaled_gen = TrafficGenerator(
             client_population, server_population, PassiveMonitor(), scale=scale
         )
-        base = pack_stream([base_gen.stream_expectation_month(month)])
-        scaled = pack_stream([scaled_gen.stream_expectation_month(month)])
+        base = _pack_rows(base_gen, [month])
+        scaled = _pack_rows(scaled_gen, [month])
         # Same shape table: scaling replicates records, never invents new ones.
         assert scaled["shapes"] == base["shapes"]
         (base_cols,) = base["months"].values()
@@ -294,6 +307,152 @@ class TestScaleSemantics:
         assert scaled_store.fraction(month, lambda r: r.established) == pytest.approx(
             base_store.fraction(month, lambda r: r.established), rel=1e-9
         )
+
+
+#: Dec 2013 .. Mar 2014: spans the Feb-2014 fingerprint cutover, and
+#: every month carries the SSL 2 record and affinity-routed families.
+_ROW_WINDOW = month_range(dt.date(2013, 12, 1), dt.date(2014, 3, 1))
+
+
+def _reference_records(generator, month, scale=1):
+    """The per-row stream that template rows replace: one ``make_record``
+    per row, yielded ``scale`` times, each with its template key."""
+    from repro.notary.events import make_record
+    from repro.servers.population import DEDICATED_PORTS
+
+    record_month = month_of(month)
+    fingerprint = month >= generator.monitor.fingerprint_fields_since
+    server_mix = generator.servers.mix(month, weighting="traffic")
+    for release, client_weight in generator.clients.mix(month):
+        tag = generator.affinity.get(release.family)
+        if tag is not None:
+            destinations = [(generator.servers.dedicated(tag), 1.0)]
+            port = DEDICATED_PORTS.get(tag, 443)
+        else:
+            destinations, port = server_mix, 443
+        for tls13, tls13_weight in generator._tls13_splits(release, month):
+            for server, server_weight in destinations:
+                weight = client_weight * tls13_weight * server_weight
+                if weight <= 0:
+                    continue
+                hello, result = generator._negotiate(release, tls13, server)
+                record = make_record(
+                    month=record_month,
+                    day=None,
+                    server_profile=server.name,
+                    server_port=port,
+                    weight=weight if scale == 1 else weight / scale,
+                    hello=hello,
+                    result=result,
+                    client_family=release.family,
+                    client_version=release.version,
+                    client_category=release.category,
+                    client_in_database=release.in_database,
+                    record_fingerprint=fingerprint,
+                )
+                key = (
+                    release.family, release.version, tls13,
+                    server.name, port, fingerprint,
+                )
+                for _ in range(scale):
+                    yield key, record
+    ssl2 = ConnectionRecord(
+        month=record_month,
+        weight=generator.SSL2_WEIGHT / scale,
+        client_family="Nagios NRPE",
+        client_version="ssl2-probe",
+        client_category="OS Tools and Services",
+        client_in_database=False,
+        fingerprint=None,
+        advertised=frozenset({"rc4", "export"}),
+        positions={},
+        suite_count=2,
+        offered_tls13=False,
+        offered_tls13_versions=(),
+        established=True,
+        negotiated_version="SSLv2",
+        negotiated_wire=0x0002,
+        negotiated_suite=None,
+        negotiated_curve=None,
+        heartbeat_negotiated=False,
+        server_chose_unoffered=False,
+        server_profile="nagios-server",
+        server_port=5666,
+    )
+    for _ in range(scale):
+        yield ("ssl2",), ssl2
+
+
+class TestTemplateRows:
+    """Template rows ≡ the per-row ``make_record`` stream they replace."""
+
+    def _generator(self, client_population, server_population, scale=1):
+        from repro.notary import PassiveMonitor, TrafficGenerator
+
+        return TrafficGenerator(
+            client_population, server_population, PassiveMonitor(), scale=scale
+        )
+
+    def _reference(self, client_population, server_population, scale=1):
+        generator = self._generator(client_population, server_population)
+        return [
+            pair
+            for month in _ROW_WINDOW
+            for pair in _reference_records(generator, month, scale)
+        ]
+
+    def test_window_covers_cutover_affinity_and_ssl2(
+        self, client_population, server_population
+    ):
+        keys = {key for key, _ in self._reference(client_population, server_population)}
+        assert ("ssl2",) in keys
+        assert {key[-1] for key in keys if len(key) > 1} == {False, True}
+        assert {key[0] for key in keys} & {"GridFTP", "Nagios NRPE"}
+
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_packed_rows_equal_per_row_pack(
+        self, client_population, server_population, scale
+    ):
+        reference = self._reference(client_population, server_population, scale)
+        generator = self._generator(client_population, server_population, scale)
+        assert_payloads_identical(
+            _pack_rows(generator, _ROW_WINDOW),
+            pack_records(record for _, record in reference),
+        )
+
+    def test_run_expectation_month_records_equal_reference(
+        self, client_population, server_population
+    ):
+        reference = [r for _, r in self._reference(client_population, server_population)]
+        generator = self._generator(client_population, server_population)
+        for month in _ROW_WINDOW:
+            generator.run_expectation_month(month)
+        records = generator.monitor.store.records()
+        assert len(records) == len(reference)
+        for got, want in zip(records, reference):
+            assert type(got) is ConnectionRecord
+            assert vars(got) == vars(want)
+
+    def test_make_record_runs_once_per_distinct_key(
+        self, client_population, server_population, monkeypatch
+    ):
+        from repro.notary import events
+
+        reference = self._reference(client_population, server_population)
+        keys = {key for key, _ in reference if key != ("ssl2",)}
+        calls = []
+        real = events.make_record
+        monkeypatch.setattr(
+            events, "make_record", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        generator = self._generator(client_population, server_population)
+        rows = sum(
+            1
+            for month in _ROW_WINDOW
+            for _ in generator.stream_expectation_month(month)
+        )
+        assert rows == len(reference)
+        assert len(calls) == len(keys) < rows
 
 
 class TestIndexVectorization:
